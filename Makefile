@@ -3,18 +3,20 @@
 # The full test suite under the race detector rebuilds fleet
 # characterizations, which the race runtime slows by ~20x (minutes per
 # Lab); `ci` therefore runs -race on the concurrent packages (server,
-# metrics, core, cluster, stats) where it has teeth, and `race-all`
-# remains available for the exhaustive run.
+# metrics, core, cluster, stats, and machine, whose Machines pool
+# simulation state shared by concurrent runs) where it has teeth, and
+# `race-all` remains available for the exhaustive run.
 
 GO ?= go
 RACE_PKGS ?= ./internal/server/... ./internal/metrics/... ./internal/core/... \
              ./internal/cluster/... ./internal/stats/... ./internal/store/... \
              ./internal/sched/... ./internal/telemetry/... ./internal/admission/... \
-             ./internal/engine/... ./internal/jobs/... ./internal/insight/...
+             ./internal/engine/... ./internal/jobs/... ./internal/insight/... \
+             ./internal/machine/...
 
-.PHONY: ci fmt-check vet build test race race-all bench bench-snapshot bench-gate smoke clean
+.PHONY: ci fmt-check vet build test race bench-module race-all bench bench-snapshot bench-gate smoke clean
 
-ci: fmt-check vet build test race
+ci: fmt-check vet build test race bench-module
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -31,6 +33,12 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# bench-module vets and tests the spec17bench benchmark, a module of
+# its own that `./...` does not reach.
+bench-module:
+	$(GO) -C spec17bench vet ./...
+	$(GO) -C spec17bench test ./...
 
 race-all:
 	$(GO) test -race ./...

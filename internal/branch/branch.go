@@ -85,30 +85,34 @@ func New(cfg Config) (*Predictor, error) {
 		mask:     uint64(size - 1),
 		histMask: (1 << uint(cfg.HistoryBits)) - 1,
 	}
-	// Initialize counters to weakly taken (10): conditional branches
-	// are taken far more often than not, so this is the cold-start
-	// guess real predictors converge to.
-	initTable := func() []uint8 {
-		t := make([]uint8, size)
+	switch cfg.Kind {
+	case Bimodal:
+		p.bimodal = make([]uint8, size)
+	case GShare:
+		p.gshare = make([]uint8, size)
+	case Tournament:
+		p.bimodal = make([]uint8, size)
+		p.gshare = make([]uint8, size)
+		p.chooser = make([]uint8, size)
+	}
+	p.Reset()
+	return p, nil
+}
+
+// Reset forgets everything learned and clears the counters, leaving
+// the predictor equal to a freshly built one without reallocating its
+// tables.
+func (p *Predictor) Reset() {
+	// Counters start weakly taken (10): conditional branches are taken
+	// far more often than not, so this is the cold-start guess real
+	// predictors converge to. The chooser's 2 weakly prefers gshare.
+	for _, t := range [][]uint8{p.bimodal, p.gshare, p.chooser} {
 		for i := range t {
 			t[i] = 2
 		}
-		return t
 	}
-	switch cfg.Kind {
-	case Bimodal:
-		p.bimodal = initTable()
-	case GShare:
-		p.gshare = initTable()
-	case Tournament:
-		p.bimodal = initTable()
-		p.gshare = initTable()
-		p.chooser = make([]uint8, size)
-		for i := range p.chooser {
-			p.chooser[i] = 2 // weakly prefer gshare
-		}
-	}
-	return p, nil
+	p.history = 0
+	p.ResetStats()
 }
 
 // Config returns the configuration the predictor was built with.

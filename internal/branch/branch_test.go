@@ -1,6 +1,7 @@
 package branch
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -185,5 +186,23 @@ func TestBiggerTableHelpsAliasing(t *testing.T) {
 	if bigP.MispredictRate() >= smallP.MispredictRate() {
 		t.Fatalf("large table (%v) should out-predict small table (%v) under aliasing",
 			bigP.MispredictRate(), smallP.MispredictRate())
+	}
+}
+
+// TestResetEqualsFresh: after heavy training, Reset leaves every
+// predictor kind equal to a freshly built one.
+func TestResetEqualsFresh(t *testing.T) {
+	used := allKinds(t, 10, 8)
+	r := rng.New(5)
+	for _, p := range used {
+		for i := 0; i < 20_000; i++ {
+			p.Predict(r.Uint64n(1<<16)<<2, r.Bool(0.3))
+		}
+		p.Reset()
+	}
+	for i, fresh := range allKinds(t, 10, 8) {
+		if !reflect.DeepEqual(used[i], fresh) {
+			t.Errorf("%v: reset predictor differs from a fresh one", fresh.Config().Kind)
+		}
 	}
 }

@@ -36,6 +36,9 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("cache: set count %d not a power of two", sets)
 	}
+	if c.Ways > 255 {
+		return fmt.Errorf("cache: associativity %d exceeds supported maximum 255", c.Ways)
+	}
 	return nil
 }
 
@@ -73,9 +76,6 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	sets := cfg.Sets()
-	if cfg.Ways > 255 {
-		return nil, fmt.Errorf("cache: associativity %d exceeds supported maximum 255", cfg.Ways)
-	}
 	c := &Cache{
 		cfg:       cfg,
 		sets:      sets,
@@ -84,9 +84,7 @@ func New(cfg Config) (*Cache, error) {
 		setMask:   uint64(sets - 1),
 		lines:     make([]uint64, sets*cfg.Ways),
 	}
-	for i := range c.lines {
-		c.lines[i] = invalidTag
-	}
+	c.Reset()
 	return c, nil
 }
 
@@ -146,6 +144,16 @@ func (c *Cache) MissRate() float64 {
 // references can be excluded from measurement.
 func (c *Cache) ResetStats() { c.accesses, c.misses = 0, 0 }
 
+// Reset empties every way and clears the counters, leaving the cache
+// equal to a freshly built one of the same geometry without
+// reallocating its tag array.
+func (c *Cache) Reset() {
+	for i := range c.lines {
+		c.lines[i] = invalidTag
+	}
+	c.ResetStats()
+}
+
 // Hierarchy models the three-level structure shared by the machines in
 // Table IV: split L1 I/D, a unified (or split-per-core, modelled as
 // unified) L2, and an optional unified L3. Instruction and data misses
@@ -165,6 +173,25 @@ type Hierarchy struct {
 type HierarchyConfig struct {
 	L1I, L1D, L2 Config
 	L3           *Config
+}
+
+// Validate checks every level's geometry, naming the level that fails.
+func (cfg HierarchyConfig) Validate() error {
+	if err := cfg.L1I.Validate(); err != nil {
+		return fmt.Errorf("L1I: %w", err)
+	}
+	if err := cfg.L1D.Validate(); err != nil {
+		return fmt.Errorf("L1D: %w", err)
+	}
+	if err := cfg.L2.Validate(); err != nil {
+		return fmt.Errorf("L2: %w", err)
+	}
+	if cfg.L3 != nil {
+		if err := cfg.L3.Validate(); err != nil {
+			return fmt.Errorf("L3: %w", err)
+		}
+	}
+	return nil
 }
 
 // NewHierarchy builds the hierarchy, validating every level.
@@ -252,6 +279,18 @@ func (h *Hierarchy) Counts() Counts {
 	c.L1IAccesses, c.L1IMisses = h.L1I.Stats()
 	c.L1DAccesses, c.L1DMisses = h.L1D.Stats()
 	return c
+}
+
+// Reset empties every level (including an attached L3) and clears all
+// counters, leaving the hierarchy equal to a freshly built one.
+func (h *Hierarchy) Reset() {
+	h.L1I.Reset()
+	h.L1D.Reset()
+	h.L2.Reset()
+	if h.L3 != nil {
+		h.L3.Reset()
+	}
+	h.ResetStats()
 }
 
 // ResetStats clears counters on all levels, keeping contents warm.

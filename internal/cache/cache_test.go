@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -13,9 +14,10 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{SizeBytes: 0, Ways: 1, LineBytes: 64},
 		{SizeBytes: 1024, Ways: 0, LineBytes: 64},
-		{SizeBytes: 1024, Ways: 2, LineBytes: 48},       // not power of two
-		{SizeBytes: 1000, Ways: 2, LineBytes: 64},       // not divisible
-		{SizeBytes: 64 * 3 * 1, Ways: 1, LineBytes: 64}, // 3 sets, not pow2
+		{SizeBytes: 1024, Ways: 2, LineBytes: 48},           // not power of two
+		{SizeBytes: 1000, Ways: 2, LineBytes: 64},           // not divisible
+		{SizeBytes: 64 * 3 * 1, Ways: 1, LineBytes: 64},     // 3 sets, not pow2
+		{SizeBytes: 256 * 64 * 4, Ways: 256, LineBytes: 64}, // over the 255-way limit
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -24,6 +26,9 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := small().Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	if err := (Config{SizeBytes: 255 * 64 * 4, Ways: 255, LineBytes: 64}).Validate(); err != nil {
+		t.Fatalf("255-way config rejected: %v", err)
 	}
 	if small().Sets() != 8 {
 		t.Fatalf("Sets() = %d, want 8", small().Sets())
@@ -248,13 +253,16 @@ func TestHierarchyL2CatchesL1Miss(t *testing.T) {
 }
 
 func TestHierarchyValidatesLevels(t *testing.T) {
-	_, err := NewHierarchy(HierarchyConfig{
+	cfg := HierarchyConfig{
 		L1I: Config{SizeBytes: 1000, Ways: 2, LineBytes: 64}, // invalid
 		L1D: small(),
 		L2:  small(),
-	})
-	if err == nil {
+	}
+	if _, err := NewHierarchy(cfg); err == nil {
 		t.Fatal("expected validation error")
+	}
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("expected validation error from Validate")
 	}
 }
 
@@ -266,5 +274,40 @@ func TestHierarchyResetStats(t *testing.T) {
 	cts := h.Counts()
 	if cts != (Counts{}) {
 		t.Fatalf("counts after reset: %+v", cts)
+	}
+}
+
+// TestResetEqualsFresh: after heavy use, Reset leaves a cache and a
+// hierarchy (with and without an L3) equal to freshly built ones.
+func TestResetEqualsFresh(t *testing.T) {
+	for _, withL3 := range []bool{false, true} {
+		h := newTestHierarchy(t, withL3)
+		r := rng.New(7)
+		for i := 0; i < 50_000; i++ {
+			addr := r.Uint64n(1 << 22)
+			if i%3 == 0 {
+				h.FetchInstr(addr)
+			} else {
+				h.AccessData(addr)
+			}
+		}
+		h.Reset()
+		if fresh := newTestHierarchy(t, withL3); !reflect.DeepEqual(h, fresh) {
+			t.Errorf("withL3=%v: reset hierarchy differs from a fresh one", withL3)
+		}
+	}
+	c, err := New(small())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(0); a < 1<<16; a += 64 {
+		c.Access(a)
+	}
+	c.Reset()
+	if fresh, _ := New(small()); !reflect.DeepEqual(c, fresh) {
+		t.Error("reset cache differs from a fresh one")
+	}
+	if c.Access(0) {
+		t.Error("first access after Reset must miss")
 	}
 }

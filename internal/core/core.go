@@ -89,51 +89,105 @@ func CharacterizeWith(ctx context.Context, entries []Entry, machines []*machine.
 		return nil, err
 	}
 
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	for _, e := range entries {
-		for _, m := range machines {
-			if ctx.Err() != nil {
-				break // canceled: stop submitting
-			}
-			e, m := e, m
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				key := store.KeyForEngine(m, e.Workload, opts, tierOf(eng))
-				v, err := r.Do(ctx, key.ID(), func(jctx context.Context) (any, error) {
-					return measureWith(jctx, st, m, e.Workload, opts, eng)
-				})
-				var rc *machine.RawCounts
-				var sample *counters.Sample
-				if err == nil {
-					rc = v.(*machine.RawCounts)
-					sample, err = counters.FromRaw(m.Name(), m.Config().HasRAPL, rc)
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: %s on %s: %w", e.Label, m.Name(), err)
-					}
-				} else {
-					c.samples[e.Label][m.Name()] = sample
-					c.raw[e.Label][m.Name()] = rc
-				}
-				mu.Unlock()
-			}()
+	col := &collector{c: c}
+	var wg sync.WaitGroup
+	for _, l := range distinctLeaves(entries, machines) {
+		if ctx.Err() != nil {
+			break // canceled: stop submitting
 		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			key := store.KeyForEngine(l.m, l.w, opts, tierOf(eng))
+			v, err := r.Do(ctx, key.ID(), func(jctx context.Context) (any, error) {
+				return measureWith(jctx, st, l.m, l.w, opts, eng)
+			})
+			var rc *machine.RawCounts
+			if err == nil {
+				rc = v.(*machine.RawCounts)
+			}
+			col.add(l, rc, err)
+		}()
 	}
 	wg.Wait()
+	return col.result(ctx)
+}
+
+// leaf is one distinct (machine, workload) measurement of a
+// characterization and every label that shares it. Within one call
+// (fixed options and engine) a distinct pair is exactly a distinct
+// store key.
+type leaf struct {
+	m      *machine.Machine
+	w      machine.Workload
+	labels []string
+}
+
+// distinctLeaves groups the entries × machines pairs by measurement,
+// in first-occurrence order. Entries may list one workload under
+// several labels (experiments.Entries names a multi-input benchmark's
+// first input both by its primary label and by its input label);
+// measuring and submitting each distinct leaf once keeps a duplicate
+// from re-entering the scheduler after the first has finished.
+func distinctLeaves(entries []Entry, machines []*machine.Machine) []*leaf {
+	type id struct {
+		m *machine.Machine
+		w machine.Workload
+	}
+	index := make(map[id]*leaf, len(entries)*len(machines))
+	var leaves []*leaf
+	for _, e := range entries {
+		for _, m := range machines {
+			k := id{m, e.Workload}
+			if l := index[k]; l != nil {
+				l.labels = append(l.labels, e.Label)
+				continue
+			}
+			l := &leaf{m: m, w: e.Workload, labels: []string{e.Label}}
+			index[k] = l
+			leaves = append(leaves, l)
+		}
+	}
+	return leaves
+}
+
+// collector fans each leaf's result out to every label that shares
+// it, keeping the first error. It is safe for concurrent use.
+type collector struct {
+	c        *Characterization
+	mu       sync.Mutex
+	firstErr error
+}
+
+func (col *collector) add(l *leaf, rc *machine.RawCounts, err error) {
+	var sample *counters.Sample
+	if err == nil {
+		sample, err = counters.FromRaw(l.m.Name(), l.m.Config().HasRAPL, rc)
+	}
+	col.mu.Lock()
+	defer col.mu.Unlock()
+	if err != nil {
+		if col.firstErr == nil {
+			col.firstErr = fmt.Errorf("core: %s on %s: %w", l.labels[0], l.m.Name(), err)
+		}
+		return
+	}
+	for _, label := range l.labels {
+		col.c.samples[label][l.m.Name()] = sample
+		col.c.raw[label][l.m.Name()] = rc
+	}
+}
+
+// result returns the characterization once every leaf has reported:
+// the context's error if it was canceled, else the first leaf error.
+func (col *collector) result(ctx context.Context) (*Characterization, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if firstErr != nil {
-		return nil, firstErr
+	if col.firstErr != nil {
+		return nil, col.firstErr
 	}
-	return c, nil
+	return col.c, nil
 }
 
 // newCharacterization validates the inputs and allocates the empty
@@ -187,68 +241,41 @@ func characterizeStored(ctx context.Context, entries []Entry, machines []*machin
 		return nil, err
 	}
 
-	type job struct {
-		entry Entry
-		mach  *machine.Machine
-	}
-	jobs := make(chan job)
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
+	leaves := distinctLeaves(entries, machines)
+	jobs := make(chan *leaf)
+	col := &collector{c: c}
+	var wg sync.WaitGroup
 	workers := opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(entries)*len(machines) {
-		workers = len(entries) * len(machines)
+	if workers > len(leaves) {
+		workers = len(leaves)
 	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
+			for l := range jobs {
 				if ctx.Err() != nil {
 					continue // canceled: drain the queue without measuring
 				}
-				rc, err := measureWith(ctx, st, j.mach, j.entry.Workload, opts, eng)
-				var sample *counters.Sample
-				if err == nil {
-					sample, err = counters.FromRaw(j.mach.Name(), j.mach.Config().HasRAPL, rc)
-				}
-				mu.Lock()
-				if err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("core: %s on %s: %w", j.entry.Label, j.mach.Name(), err)
-					}
-				} else {
-					c.samples[j.entry.Label][j.mach.Name()] = sample
-					c.raw[j.entry.Label][j.mach.Name()] = rc
-				}
-				mu.Unlock()
+				rc, err := measureWith(ctx, st, l.m, l.w, opts, eng)
+				col.add(l, rc, err)
 			}
 		}()
 	}
 feed:
-	for _, e := range entries {
-		for _, m := range machines {
-			select {
-			case jobs <- job{entry: e, mach: m}:
-			case <-ctx.Done():
-				break feed
-			}
+	for _, l := range leaves {
+		select {
+		case jobs <- l:
+		case <-ctx.Done():
+			break feed
 		}
 	}
 	close(jobs)
 	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return c, nil
+	return col.result(ctx)
 }
 
 // measure runs one (machine, workload) pair, through the store when

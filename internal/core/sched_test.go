@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -172,5 +173,84 @@ func waitForPool(t *testing.T, p *sched.Pool, cond func(sched.Stats) bool) {
 			t.Fatalf("timed out waiting for pool condition; stats %+v", p.Stats())
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// holdingRunner counts submissions per key and holds every one until
+// want have arrived, so all of a characterization's submissions are
+// pending at once — the window in which a duplicate would be
+// submitted a second time.
+type holdingRunner struct {
+	mu      sync.Mutex
+	calls   map[string]int
+	n, want int
+	release chan struct{}
+}
+
+func (r *holdingRunner) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
+	r.mu.Lock()
+	r.calls[key]++
+	if r.n++; r.n == r.want {
+		close(r.release)
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.release:
+		return fn(ctx)
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestCharacterizeSubmitsEachLeafOnce: entries that name one workload
+// under two labels (as experiments.Entries does for a multi-input
+// benchmark's first input) submit that leaf once, and both labels get
+// the same counts.
+func TestCharacterizeSubmitsEachLeafOnce(t *testing.T) {
+	entries := schedEntries(t, "505.mcf_r", "541.leela_r")
+	entries = append(entries, Entry{Label: "505.mcf_r/input1", Workload: entries[0].Workload})
+	machines := testMachines(t)[:2]
+	opts := machine.RunOptions{Instructions: 2_000}
+	distinct := 2 * len(machines)
+
+	r := &holdingRunner{calls: map[string]int{}, want: distinct, release: make(chan struct{})}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	c, err := CharacterizeScheduled(ctx, entries, machines, opts, nil, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.calls) != distinct || r.n != distinct {
+		t.Errorf("%d submissions of %d keys, want %d of %d", r.n, len(r.calls), distinct, distinct)
+	}
+	for key, n := range r.calls {
+		if n != 1 {
+			t.Errorf("key %s submitted %d times, want once", key, n)
+		}
+	}
+	for _, m := range c.MachineNames {
+		a, err := c.Raw("505.mcf_r", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := c.Raw("505.mcf_r/input1", m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if *a != *b {
+			t.Errorf("%s: labels sharing one leaf got different counts", m)
+		}
+	}
+
+	// The unscheduled path measures each distinct leaf once as well.
+	st, err := store.Open(store.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CharacterizeStored(context.Background(), entries, machines, opts, st); err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Misses != int64(distinct) || s.Hits != 0 {
+		t.Errorf("store misses/hits = %d/%d, want %d/0", s.Misses, s.Hits, distinct)
 	}
 }

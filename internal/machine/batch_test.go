@@ -3,9 +3,6 @@ package machine
 import (
 	"testing"
 
-	"repro/internal/branch"
-	"repro/internal/cache"
-	"repro/internal/tlb"
 	"repro/internal/trace"
 )
 
@@ -18,21 +15,13 @@ func buildStream(t *testing.T, m *Machine, w Workload, slabSize int) *simStream 
 	if err != nil {
 		t.Fatal(err)
 	}
-	caches, err := cache.NewHierarchy(m.cfg.Caches)
+	ls, err := m.newLeafState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	tlbs, err := tlb.NewHierarchy(m.cfg.TLBs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pred, err := branch.New(m.cfg.Predictor)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := newSimStream(gen, caches, tlbs, pred, &RawCounts{}, 0)
+	st := newSimStream(gen, ls, &RawCounts{}, 0)
 	st.slab = make([]trace.Event, slabSize)
-	prime(caches, tlbs, spec)
+	prime(st.caches, st.tlbs, spec)
 	return st
 }
 

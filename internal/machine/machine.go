@@ -12,6 +12,7 @@ package machine
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/branch"
 	"repro/internal/cache"
@@ -52,40 +53,45 @@ type Config struct {
 	Power   power.Model
 }
 
-// Machine is a ready-to-run instance of a Config.
-type Machine struct {
-	cfg Config
-}
-
-// New validates cfg and returns a Machine.
-func New(cfg Config) (*Machine, error) {
+// Validate reports the first invalid field. A config that validates
+// builds: every component's Validate checks exactly what its
+// constructor would reject.
+func (cfg Config) Validate() error {
 	if cfg.Name == "" {
-		return nil, fmt.Errorf("machine: empty name")
+		return fmt.Errorf("machine: empty name")
 	}
 	if cfg.IssueWidth < 1 {
-		return nil, fmt.Errorf("machine %s: issue width %d", cfg.Name, cfg.IssueWidth)
+		return fmt.Errorf("machine %s: issue width %d", cfg.Name, cfg.IssueWidth)
 	}
 	if cfg.FreqGHz <= 0 {
-		return nil, fmt.Errorf("machine %s: frequency %v", cfg.Name, cfg.FreqGHz)
+		return fmt.Errorf("machine %s: frequency %v", cfg.Name, cfg.FreqGHz)
 	}
-	// Build all components once to validate geometry; Run rebuilds
-	// fresh state per workload.
-	if _, err := cache.NewHierarchy(cfg.Caches); err != nil {
-		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
-	}
-	if _, err := tlb.NewHierarchy(cfg.TLBs); err != nil {
-		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
-	}
-	if _, err := branch.New(cfg.Predictor); err != nil {
-		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
-	}
-	if err := cfg.Penalties.Validate(); err != nil {
-		return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
+	for _, v := range []interface{ Validate() error }{cfg.Caches, cfg.TLBs, cfg.Predictor, cfg.Penalties} {
+		if err := v.Validate(); err != nil {
+			return fmt.Errorf("machine %s: %w", cfg.Name, err)
+		}
 	}
 	if cfg.HasRAPL {
 		if err := cfg.Power.Validate(); err != nil {
-			return nil, fmt.Errorf("machine %s: %w", cfg.Name, err)
+			return fmt.Errorf("machine %s: %w", cfg.Name, err)
 		}
+	}
+	return nil
+}
+
+// Machine is a ready-to-run instance of a Config. It is safe for
+// concurrent use: each run takes its own simulation state from the
+// machine's pool (see leaf.go).
+type Machine struct {
+	cfg    Config
+	leaves sync.Pool // of *leafState
+}
+
+// New validates cfg and returns a Machine. Nothing is built until the
+// first run.
+func New(cfg Config) (*Machine, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	return &Machine{cfg: cfg}, nil
 }
@@ -221,27 +227,18 @@ func (m *Machine) Run(w Workload, opts RunOptions) (*RawCounts, error) {
 	if err != nil {
 		return nil, fmt.Errorf("machine %s: workload %q: %w", m.cfg.Name, w.Key, err)
 	}
-	caches, err := cache.NewHierarchy(m.cfg.Caches)
-	if err != nil {
-		return nil, err
-	}
-	tlbs, err := tlb.NewHierarchy(m.cfg.TLBs)
-	if err != nil {
-		return nil, err
-	}
-	pred, err := branch.New(m.cfg.Predictor)
-	if err != nil {
-		return nil, err
-	}
 
 	rc := &RawCounts{}
-	st := newSimStream(gen, caches, tlbs, pred, rc, 0)
-
-	prime(caches, tlbs, spec)
-	st.warmup(opts.WarmupInstructions)
-	st.resetStats()
-	st.measure(opts.Instructions)
-	if err := st.finalize(m.cfg.IssueWidth, w.ILP, m.cfg.Penalties); err != nil {
+	var st *simStream
+	err = m.withLeaves(1, func(leaves []*leafState) error {
+		st = newSimStream(gen, leaves[0], rc, 0)
+		prime(st.caches, st.tlbs, spec)
+		st.warmup(opts.WarmupInstructions)
+		st.resetStats()
+		st.measure(opts.Instructions)
+		return st.finalize(m.cfg.IssueWidth, w.ILP, m.cfg.Penalties)
+	})
+	if err != nil {
 		return nil, err
 	}
 

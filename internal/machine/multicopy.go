@@ -3,9 +3,6 @@ package machine
 import (
 	"fmt"
 
-	"repro/internal/branch"
-	"repro/internal/cache"
-	"repro/internal/tlb"
 	"repro/internal/trace"
 )
 
@@ -52,60 +49,46 @@ func (m *Machine) RunMulti(w Workload, copies int, opts RunOptions) (*MultiCount
 	opts = opts.withDefaults()
 	spec := m.adjustSpec(w)
 
-	// Shared L3 (when the machine has one); private L1/L2 per copy.
-	var sharedL3 *cache.Cache
-	if m.cfg.Caches.L3 != nil {
-		var err error
-		sharedL3, err = cache.New(*m.cfg.Caches.L3)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	counts := make([]RawCounts, copies)
-	streams := make([]*simStream, copies)
-	for i := range streams {
+	gens := make([]*trace.Generator, copies)
+	for i := range gens {
 		gen, err := trace.NewGenerator(spec, fmt.Sprintf("%s#copy%d@%s", w.Key, i, m.cfg.Name))
 		if err != nil {
 			return nil, err
 		}
-		privCfg := m.cfg.Caches
-		privCfg.L3 = nil // the private hierarchy stops at L2
-		caches, err := cache.NewHierarchy(privCfg)
-		if err != nil {
-			return nil, err
-		}
-		caches.L3 = sharedL3 // re-attach the shared LLC
-		tlbs, err := tlb.NewHierarchy(m.cfg.TLBs)
-		if err != nil {
-			return nil, err
-		}
-		pred, err := branch.New(m.cfg.Predictor)
-		if err != nil {
-			return nil, err
-		}
-		streams[i] = newSimStream(gen, caches, tlbs, pred, &counts[i], uint64(i)*copyStride)
-		primeOffset(caches, tlbs, spec, streams[i].offset)
+		gens[i] = gen
 	}
 
-	// Round-robin interleaving through the shared kernel: warmup, then
-	// measurement.
-	runInterleaved(streams, opts.WarmupInstructions, false)
-	for _, st := range streams {
-		st.resetStats()
-	}
-	if sharedL3 != nil {
-		sharedL3.ResetStats()
-	}
-	runInterleaved(streams, opts.Instructions, true)
-
+	// Private L1/L2, TLBs and predictor per copy; every copy's
+	// hierarchy ends in the same L3 (when the machine has one).
 	out := &MultiCounts{Copies: copies}
-	for _, st := range streams {
-		if err := st.finalize(m.cfg.IssueWidth, w.ILP, m.cfg.Penalties); err != nil {
-			return nil, err
+	err := m.withLeaves(copies, func(leaves []*leafState) error {
+		counts := make([]RawCounts, copies)
+		streams := make([]*simStream, copies)
+		for i, ls := range leaves {
+			streams[i] = newSimStream(gens[i], ls, &counts[i], uint64(i)*copyStride)
+			primeOffset(ls.caches, ls.tlbs, spec, streams[i].offset)
 		}
-		out.PerCopy = append(out.PerCopy, st.rc)
-		out.Throughput += 1 / st.rc.CPI
+
+		// Round-robin interleaving through the shared kernel: warmup,
+		// then measurement. Each stream's resetStats also clears the
+		// shared L3's counters.
+		runInterleaved(streams, opts.WarmupInstructions, false)
+		for _, st := range streams {
+			st.resetStats()
+		}
+		runInterleaved(streams, opts.Instructions, true)
+
+		for _, st := range streams {
+			if err := st.finalize(m.cfg.IssueWidth, w.ILP, m.cfg.Penalties); err != nil {
+				return err
+			}
+			out.PerCopy = append(out.PerCopy, st.rc)
+			out.Throughput += 1 / st.rc.CPI
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -58,16 +58,16 @@ type simStream struct {
 	slab []trace.Event
 }
 
-// newSimStream assembles a stream around freshly built components.
-func newSimStream(gen *trace.Generator, caches *cache.Hierarchy, tlbs *tlb.Hierarchy, pred *branch.Predictor, rc *RawCounts, offset uint64) *simStream {
+// newSimStream assembles a stream around acquired leaf state.
+func newSimStream(gen *trace.Generator, ls *leafState, rc *RawCounts, offset uint64) *simStream {
 	return &simStream{
-		gen: gen, caches: caches, tlbs: tlbs, pred: pred,
+		gen: gen, caches: ls.caches, tlbs: ls.tlbs, pred: ls.pred,
 		rc:        rc,
 		offset:    offset,
-		hasL3:     caches.L3 != nil,
-		lineShift: uint(bits.TrailingZeros(uint(caches.L1I.Config().LineBytes))),
+		hasL3:     ls.caches.L3 != nil,
+		lineShift: uint(bits.TrailingZeros(uint(ls.caches.L1I.Config().LineBytes))),
 		lastILine: ^uint64(0), lastIPage: ^uint64(0),
-		slab: make([]trace.Event, simSlabSize),
+		slab: ls.slab,
 	}
 }
 

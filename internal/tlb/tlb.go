@@ -36,7 +36,22 @@ func (c Config) Validate() error {
 	if sets&(sets-1) != 0 {
 		return fmt.Errorf("tlb: set count %d not a power of two", sets)
 	}
+	// The cache simulator underneath has its own limits (at most 255
+	// ways), so a geometry valid above can still be unbuildable.
+	if err := c.cacheConfig().Validate(); err != nil {
+		return fmt.Errorf("tlb: %w", err)
+	}
 	return nil
+}
+
+// cacheConfig is the cache geometry a TLB level is simulated as: one
+// page-sized line per entry.
+func (c Config) cacheConfig() cache.Config {
+	return cache.Config{
+		SizeBytes: c.Entries << PageShift,
+		Ways:      c.Ways,
+		LineBytes: 1 << PageShift,
+	}
 }
 
 // TLB is a single translation buffer level. A TLB over page numbers is
@@ -51,11 +66,7 @@ func New(cfg Config) (*TLB, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	inner, err := cache.New(cache.Config{
-		SizeBytes: cfg.Entries << PageShift,
-		Ways:      cfg.Ways,
-		LineBytes: 1 << PageShift,
-	})
+	inner, err := cache.New(cfg.cacheConfig())
 	if err != nil {
 		return nil, fmt.Errorf("tlb: %w", err)
 	}
@@ -70,6 +81,10 @@ func (t *TLB) Stats() (lookups, misses uint64) { return t.c.Stats() }
 
 // ResetStats clears counters, keeping contents.
 func (t *TLB) ResetStats() { t.c.ResetStats() }
+
+// Reset empties the TLB and clears its counters, leaving it equal to a
+// freshly built one.
+func (t *TLB) Reset() { t.c.Reset() }
 
 // Hierarchy is the two-level structure used by all simulated machines:
 // split L1 I/D TLBs and an optional unified second level. A miss in
@@ -86,6 +101,22 @@ type Hierarchy struct {
 type HierarchyConfig struct {
 	ITLB, DTLB Config
 	L2         *Config
+}
+
+// Validate checks every level's geometry, naming the level that fails.
+func (cfg HierarchyConfig) Validate() error {
+	if err := cfg.ITLB.Validate(); err != nil {
+		return fmt.Errorf("ITLB: %w", err)
+	}
+	if err := cfg.DTLB.Validate(); err != nil {
+		return fmt.Errorf("DTLB: %w", err)
+	}
+	if cfg.L2 != nil {
+		if err := cfg.L2.Validate(); err != nil {
+			return fmt.Errorf("L2 TLB: %w", err)
+		}
+	}
+	return nil
 }
 
 // NewHierarchy builds and validates the hierarchy.
@@ -154,6 +185,17 @@ func (h *Hierarchy) Counts() Counts {
 	c.ITLBLookups, c.ITLBMisses = h.ITLB.Stats()
 	c.DTLBLookups, c.DTLBMisses = h.DTLB.Stats()
 	return c
+}
+
+// Reset empties every level and clears all counters, leaving the
+// hierarchy equal to a freshly built one.
+func (h *Hierarchy) Reset() {
+	h.ITLB.Reset()
+	h.DTLB.Reset()
+	if h.L2 != nil {
+		h.L2.Reset()
+	}
+	h.ResetStats()
 }
 
 // ResetStats clears all counters, keeping contents warm.

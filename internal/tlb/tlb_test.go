@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/rng"
@@ -10,12 +11,16 @@ func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Entries: 0, Ways: 1},
 		{Entries: 64, Ways: 0},
-		{Entries: 64, Ways: 5}, // not divisible
-		{Entries: 96, Ways: 8}, // 12 sets, not pow2
+		{Entries: 64, Ways: 5},    // not divisible
+		{Entries: 96, Ways: 8},    // 12 sets, not pow2
+		{Entries: 512, Ways: 512}, // more ways than the cache simulator supports
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %+v should be invalid", c)
+		}
+		if err := (HierarchyConfig{ITLB: Config{Entries: 8, Ways: 8}, DTLB: c}).Validate(); err == nil {
+			t.Errorf("hierarchy with DTLB %+v should be invalid", c)
 		}
 	}
 	if err := (Config{Entries: 64, Ways: 4}).Validate(); err != nil {
@@ -151,5 +156,26 @@ func TestRandomPagesMissMore(t *testing.T) {
 	lc, rc := local.Counts(), random.Counts()
 	if lc.PageWalks*100 >= rc.PageWalks {
 		t.Fatalf("random pages should walk far more: local %d vs random %d", lc.PageWalks, rc.PageWalks)
+	}
+}
+
+// TestResetEqualsFresh: after heavy use, Reset leaves a hierarchy
+// (with and without an L2 TLB) equal to a freshly built one.
+func TestResetEqualsFresh(t *testing.T) {
+	for _, withL2 := range []bool{false, true} {
+		h := newHier(t, withL2)
+		r := rng.New(3)
+		for i := 0; i < 20_000; i++ {
+			addr := r.Uint64n(1 << 30)
+			if i%4 == 0 {
+				h.TranslateInstr(addr)
+			} else {
+				h.TranslateData(addr)
+			}
+		}
+		h.Reset()
+		if fresh := newHier(t, withL2); !reflect.DeepEqual(h, fresh) {
+			t.Errorf("withL2=%v: reset hierarchy differs from a fresh one", withL2)
+		}
 	}
 }

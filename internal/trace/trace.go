@@ -198,6 +198,14 @@ type branchState struct {
 	bias float64 // Bernoulli taken probability (easy/hard)
 }
 
+// coldBranch is the behaviour every user block at or beyond hotBlocks
+// shares: uniformly strongly taken, so their (rarely trained, heavily
+// aliased) predictor entries still agree — matching real programs,
+// whose cold paths remain predictable. Only the hot blocks get a
+// branchState of their own; a 16 MB binary would otherwise carry a
+// multi-megabyte table of identical entries.
+var coldBranch = branchState{kind: easyBranch, bias: 0.995}
+
 // Generator produces the event stream for one workload. It is not
 // safe for concurrent use; create one per goroutine.
 type Generator struct {
@@ -285,10 +293,10 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 		g.nKBlocks = 1
 	}
 
-	g.branches = make([]branchState, g.nBlocks)
-	seedBranches(g.branches, g.hotBlocks, spec, g.rBranch)
+	g.branches = make([]branchState, g.hotBlocks)
+	seedBranches(g.branches, spec, g.rBranch)
 	g.kbranches = make([]branchState, g.nKBlocks)
-	seedBranches(g.kbranches, g.nKBlocks, spec, g.rBranch)
+	seedBranches(g.kbranches, spec, g.rBranch)
 
 	n := spec.MemStreams
 	if n <= 0 {
@@ -329,12 +337,10 @@ func NewGenerator(spec Spec, key string) (*Generator, error) {
 	return g, nil
 }
 
-// seedBranches assigns behaviour to the first hotCount blocks' branches
-// from the hard/correlated/easy mixture; branches of colder blocks are
-// uniformly strongly-taken, so their (rarely trained, heavily aliased)
-// predictor entries still agree — matching real programs, whose cold
-// paths remain predictable.
-func seedBranches(bs []branchState, hotCount int, spec Spec, r *rng.Rand) {
+// seedBranches assigns behaviour to the hot blocks' branches bs from
+// the hard/correlated/easy mixture; colder blocks share coldBranch.
+func seedBranches(bs []branchState, spec Spec, r *rng.Rand) {
+	hotCount := len(bs)
 	// Solve for the easy branches' taken share so the hot mixture plus
 	// the cold-branch population hits TakenFrac overall:
 	//   taken = h*(e*0.5 + (1-e)*(P*0.5 + (1-P)*(q*0.98+0.01))) + (1-h)*0.99,
@@ -367,11 +373,6 @@ func seedBranches(bs []branchState, hotCount int, spec Spec, r *rng.Rand) {
 	head := nCorr - tail
 	for i := range bs {
 		b := &bs[i]
-		if i >= hotCount {
-			b.kind = easyBranch
-			b.bias = 0.995
-			continue
-		}
 		if i < head || i >= hotCount-tail {
 			b.kind = corrBranch
 			continue
@@ -460,7 +461,7 @@ func (g *Generator) Next(ev *Event) {
 		if g.inKernel {
 			b = &g.kbranches[g.curBlock]
 		} else {
-			b = &g.branches[g.curBlock]
+			b = g.userBranch(g.curBlock)
 		}
 		ev.Taken = g.outcome(b)
 		g.blockPos = 0
@@ -559,7 +560,7 @@ func (g *Generator) FillBatch(evs []Event) {
 			if inKernel {
 				b = &g.kbranches[curBlock]
 			} else {
-				b = &g.branches[curBlock]
+				b = g.userBranch(curBlock)
 			}
 			ev.Taken = g.outcome(b)
 			pos = 0
@@ -593,6 +594,16 @@ func (g *Generator) FillBatch(evs []Event) {
 	}
 	g.blockPos = pos
 	g.curBlock = curBlock
+}
+
+// userBranch returns the behaviour of user block i's branch: its own
+// state for a hot block, the shared coldBranch otherwise. The state is
+// read-only once seeded.
+func (g *Generator) userBranch(i int) *branchState {
+	if i < len(g.branches) {
+		return &g.branches[i]
+	}
+	return &coldBranch
 }
 
 // outcome produces one branch's next direction and updates the global

@@ -298,3 +298,24 @@ func TestKindString(t *testing.T) {
 		}
 	}
 }
+
+// TestColdBlocksShareOneBranchState: only the hot blocks carry branch
+// state of their own; every colder block reads the shared coldBranch,
+// so a large binary costs no per-block table.
+func TestColdBlocksShareOneBranchState(t *testing.T) {
+	spec := testSpec()
+	spec.CodeBytes = 16 << 20
+	g, err := NewGenerator(spec, "cold-branches")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.branches) != g.hotBlocks || g.hotBlocks >= g.nBlocks {
+		t.Fatalf("%d branch states for %d hot of %d blocks", len(g.branches), g.hotBlocks, g.nBlocks)
+	}
+	if g.userBranch(g.hotBlocks-1) == &coldBranch {
+		t.Error("last hot block reads the shared cold state")
+	}
+	if b := g.userBranch(g.nBlocks - 1); b != &coldBranch || *b != (branchState{kind: easyBranch, bias: 0.995}) {
+		t.Errorf("cold block state = %+v, want the shared strongly-taken state", *b)
+	}
+}
